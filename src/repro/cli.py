@@ -399,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "ok:false busy:true (default "
                             f"{SERVICE_MAX_INFLIGHT})")
     serve.add_argument("--no-autotune", action="store_true",
-                       help="disable lane auto-tuning (slice budgets and "
-                            "lane drops derived from persisted per-lane "
-                            "win statistics) for scheduler sessions")
+                       help="disable lane auto-tuning (slice budgets "
+                            "derived from persisted per-lane win "
+                            "statistics) for scheduler sessions")
     serve.add_argument("--no-obs", action="store_true",
                        help="disable observability (metrics registry + "
                             "request tracing; enabled by default when "

@@ -124,6 +124,12 @@ REQUEST_CACHE_SNAPSHOT_VERSION: int = 1
 #: immediately instead of growing an unbounded queue.
 SERVICE_MAX_INFLIGHT: int = 32
 
+#: Longest request line ``serve --listen`` reads (bytes before the
+#: newline).  A dense 12-qubit ``exact`` request is about 106 KB of
+#: JSON, past asyncio's 64 KiB default; a longer line is skipped whole
+#: and answered with an ``ok: false`` error.
+SERVICE_MAX_LINE_BYTES: int = 1 << 20
+
 #: Fairness stride of the cross-request scheduler: deadlined sessions are
 #: served earliest-deadline-first, but every ``N``-th turn goes to the
 #: round-robin queue of undeadlined sessions, so a stream of deadlined
@@ -144,18 +150,11 @@ WAL_COMPACT_INTERVAL: int = 256
 
 #: Lane auto-tuning (interleaved slice budgets from ``lane_stats``):
 #: per-lane slice budgets scale between these multiples of
-#: ``PORTFOLIO_SLICE_EXPANSIONS`` by historical win/feasible rate.  Slice
-#: size never changes a lane's result (differential-tested), so tuning
-#: moves CPU priority only.
+#: ``PORTFOLIO_SLICE_EXPANSIONS`` by historical win rate.  Slice size
+#: never changes a lane's result (differential-tested), so tuning moves
+#: CPU priority only; no lane is ever dropped.
 LANE_TUNE_MIN: float = 0.5
 LANE_TUNE_MAX: float = 2.0
-
-#: A lane is dropped from auto-tuned schedules only after this many
-#: recorded runs with zero wins *and* zero feasible circuits — the
-#: chronically losing lane pays slices on every request and has never
-#: contributed a result.  High enough that fresh deployments (and the
-#: test/bench workloads) never trip it by accident.
-LANE_DROP_MIN_RUNS: int = 50
 
 #: Wall-clock budget for draining in-flight sessions at graceful
 #: shutdown (ms): sessions still running when it expires are

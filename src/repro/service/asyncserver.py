@@ -41,10 +41,24 @@ import contextlib
 import json
 import signal
 
-from repro.constants import SHUTDOWN_DRAIN_MS
+from repro.constants import SERVICE_MAX_LINE_BYTES, SHUTDOWN_DRAIN_MS
 from repro.service.server import SynthesisService, parse_request_line
 
 __all__ = ["AsyncFrontEnd", "serve_listen"]
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> bool:
+    """Discard the rest of an over-limit line; ``False`` once the
+    connection is gone."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed  # scanned bytes, all still buffered
+        except (ConnectionError, asyncio.IncompleteReadError):
+            return False
+        await reader.readexactly(consumed)
 
 
 class AsyncFrontEnd:
@@ -94,8 +108,18 @@ class AsyncFrontEnd:
         try:
             while not self._closing.is_set():
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: an unterminated last line
+                except asyncio.LimitOverrunError:
+                    self.handled += 1
+                    reply({"ok": False,
+                           "error": f"request line longer than "
+                                    f"{SERVICE_MAX_LINE_BYTES} bytes"})
+                    if await _skip_line(reader):
+                        continue
+                    break
+                except ConnectionError:
                     break
                 if not line:
                     break  # EOF: client closed its end
@@ -193,7 +217,8 @@ class AsyncFrontEnd:
     async def run(self) -> dict:
         """Listen until shutdown; returns the shutdown summary dict."""
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port)
+            self._handle_client, self.host, self.port,
+            limit=SERVICE_MAX_LINE_BYTES)
         if self.metrics_host is not None:
             self._metrics_server = await asyncio.start_server(
                 self._handle_scrape, self.metrics_host, self.metrics_port)

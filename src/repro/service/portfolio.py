@@ -42,7 +42,11 @@ historical win rate (:func:`order_specs`): per-lane win/feasible/timeout
 counters accumulate in ``memory.lane_stats``, persist inside memory
 snapshots, and ties break by the caller's spec order, so runs stay
 reproducible.  Ordering only changes *which lane gets CPU first* — the
-best-of result contract is order-independent.
+best-of result contract is order-independent.  A win is credited to the
+lane that *settles* the request: the lane whose proof made the answer
+optimal (an exact lane proving a sibling's incumbent, exactly as the
+sequential line's incumbent-bounded A* returns it), else the lane holding
+the best circuit.
 
 :func:`run_batch` shards a request list across worker processes; each
 worker carries its own warm memory seeded from the snapshot and ships its
@@ -60,7 +64,7 @@ from repro.constants import PORTFOLIO_SLICE_EXPANSIONS
 from repro.core.astar import AStarRun, SearchConfig, SearchResult, \
     astar_search
 from repro.core.beam import BeamConfig, BeamRun
-from repro.core.engine import EngineRun, RunStatus
+from repro.core.engine import EngineRun, RunStatus, SearchStats
 from repro.core.idastar import IDAStarConfig, IDAStarRun
 from repro.core.memory import SearchMemory
 from repro.exceptions import SearchBudgetExceeded, SynthesisError
@@ -193,6 +197,7 @@ class PortfolioOutcome:
     """Best result across the lanes plus the per-lane audit trail."""
 
     result: SearchResult | None
+    #: the lane holding the returned circuit (the response's ``engine``)
     winner: str | None
     attempts: list[dict] = field(default_factory=list)
     #: interleaved mode only: the wall-clock deadline expired and the
@@ -339,13 +344,29 @@ def run_portfolio(state: QState, search: SearchConfig | None = None,
 # Interleaved in-process scheduler (anytime, deadline-aware)
 # ----------------------------------------------------------------------
 
+class _Unbuilt:
+    """A lane's run before its first slice: no engine state yet, only
+    zeroed stats for audits that read every lane."""
+
+    __slots__ = ("stats",)
+
+    def __init__(self) -> None:
+        self.stats = SearchStats()
+
+
 @dataclass
 class _Lane:
     spec: EngineSpec
-    run: EngineRun
+    #: replaced by the real run on the lane's first slice
+    #: (``LaneScheduler._build``)
+    run: EngineRun | _Unbuilt = field(default_factory=_Unbuilt)
     budget: int = PORTFOLIO_SLICE_EXPANSIONS
     seconds: float = 0.0
     slices: int = 0
+
+    @property
+    def built(self) -> bool:
+        return not isinstance(self.run, _Unbuilt)
 
 
 class LaneScheduler:
@@ -367,7 +388,10 @@ class LaneScheduler:
     * the first proven-optimal outcome — a lane solving with a proof, or
       a lane exhausting its space under the shared incumbent bound
       (:class:`~repro.core.engine.RunStatus` ``PROVEN``) — ends the
-      schedule;
+      schedule, and that lane is credited with the win;
+    * a lane's :class:`~repro.core.engine.EngineRun` is built on its
+      first slice and handed the incumbent it missed, so lanes behind an
+      early settle cost nothing (no engine context, no IDA* signature);
     * when the wall-clock deadline expires first, ``run_round`` returns
       ``False`` with ``deadline_expired`` set and :meth:`finish` returns
       the best feasible circuit found so far (after letting lanes with a
@@ -376,10 +400,12 @@ class LaneScheduler:
     The deadline stopwatch starts at construction and is *never*
     suspended — under the cross-request scheduler a session's deadline
     keeps running while other sessions hold the CPU, which is exactly
-    what a caller-facing latency bound means.  Lane runs are stamped
-    with ``tag`` (an opaque owner token) for per-session accounting, and
-    ``expansions`` accumulates the true per-slice expansion counts for
-    fair-share bookkeeping.
+    what a caller-facing latency bound means.  When the deadline cuts
+    the schedule before any lane holds a circuit, :meth:`finish` builds
+    a beam lane that never ran so its frontier flush can still answer.
+    Lane runs are stamped with ``tag`` (an opaque owner token) for
+    per-session accounting, and ``expansions`` accumulates the true
+    per-slice expansion counts for fair-share bookkeeping.
     """
 
     def __init__(self, state: QState, search: SearchConfig,
@@ -390,7 +416,10 @@ class LaneScheduler:
                  slice_budgets: dict[str, int] | None = None,
                  tag: object | None = None, obs=None,
                  pdb_tier: str = "admissible") -> None:
+        self.state = state
+        self.search = search
         self.memory = memory
+        self.pdb_tier = pdb_tier
         #: :class:`repro.obs.ServiceObs` or ``None`` — slice/incumbent/
         #: settle hooks only; never consulted in the expansion hot loop
         self.obs = obs
@@ -398,17 +427,15 @@ class LaneScheduler:
         # deadline-is-None fast path in the per-expansion hot loop
         self.deadline = None if deadline_ms is None \
             else Stopwatch(max(0.0, deadline_ms) / 1000.0)
-        self.lanes = []
-        for spec in specs:
-            run = build_engine_run(spec, state, search, memory=memory,
-                                   pdb_tier=pdb_tier)
-            run.tag = tag
-            budget = max(1, int((slice_budgets or {}).get(
-                spec.name, slice_expansions)))
-            self.lanes.append(_Lane(spec, run, budget=budget))
+        self.lanes = [
+            _Lane(spec, budget=max(1, int((slice_budgets or {}).get(
+                spec.name, slice_expansions))))
+            for spec in specs]
         self.active: list[_Lane] = list(self.lanes)
         self.best: SearchResult | None = None
         self.winner: str | None = None
+        #: the lane whose proof settled the schedule (``None`` unproven)
+        self.prover: str | None = None
         self.attempts: list[dict] = []
         self.proven = False
         self.deadline_expired = False
@@ -423,6 +450,16 @@ class LaneScheduler:
     def _expired(self) -> bool:
         return self.deadline is not None and self.deadline.expired()
 
+    def _build(self, lane: _Lane) -> EngineRun:
+        """Arm the lane's run, seeded with the incumbent it missed."""
+        run = build_engine_run(lane.spec, self.state, self.search,
+                               memory=self.memory, pdb_tier=self.pdb_tier)
+        run.tag = self.tag
+        if self.best is not None:
+            run.inject_incumbent(self.best.cnot_cost)
+        lane.run = run
+        return run
+
     def _harvest(self, lane: _Lane) -> None:
         """Pull the lane's best feasible circuit; broadcast improvements."""
         feasible = lane.run.best_feasible()
@@ -430,7 +467,9 @@ class LaneScheduler:
             self.best, self.winner = feasible, lane.spec.name
             injected = 0
             for other in self.lanes:
-                if other is not lane and not other.run.status.terminal:
+                # unbuilt lanes pick the incumbent up in _build
+                if other is not lane and other.built and \
+                        not other.run.status.terminal:
                     other.run.inject_incumbent(self.best.cnot_cost)
                     injected += 1
             if self.obs is not None and injected:
@@ -439,29 +478,33 @@ class LaneScheduler:
 
     def _settle(self, lane: _Lane, status: RunStatus) -> None:
         """Record one terminated (or cancelled) lane's audit row."""
+        run = lane.run
         row: dict = {"name": lane.spec.name, "status": status.value,
                      "solved": False,
-                     "feasible": lane.run.best_feasible() is not None,
-                     "nodes_expanded": lane.run.stats.nodes_expanded,
+                     "feasible": lane.built and
+                     run.best_feasible() is not None,
+                     "nodes_expanded": run.stats.nodes_expanded,
                      "seconds": round(lane.seconds, 6),
                      "slices": lane.slices}
         if status is RunStatus.SOLVED:
-            result = lane.run.result()
+            result = run.result()
             row.update(solved=True, cnot_cost=result.cnot_cost,
                        optimal=result.optimal)
             if result.optimal:
                 self.proven = True
+                self.prover = lane.spec.name
         elif status is RunStatus.PROVEN:
             # the lane exhausted everything cheaper than the shared
             # incumbent: whoever holds that incumbent holds the optimum
-            bound = lane.run.incumbent_bound
+            bound = run.incumbent_bound
             row["lower_bound"] = bound
             if self.best is not None and bound is not None and \
                     self.best.cnot_cost <= bound:
                 self.best = replace(self.best, optimal=True)
                 self.proven = True
+                self.prover = lane.spec.name
         elif status is RunStatus.EXHAUSTED:
-            error = lane.run.error
+            error = run.error
             row["timeout"] = isinstance(error, SearchBudgetExceeded)
             row["lower_bound"] = getattr(error, "lower_bound", 0)
         self.attempts.append(row)
@@ -469,7 +512,7 @@ class LaneScheduler:
             # engine profiling promotion: the lane's SearchStats (and its
             # profile phase timers, when enabled) become span attributes
             self.obs.lane_settled(self.tag, lane.spec.name, status.value,
-                                  stats=lane.run.stats,
+                                  stats=run.stats if lane.built else None,
                                   feasible=row["feasible"])
 
     def run_round(self) -> bool:
@@ -486,15 +529,16 @@ class LaneScheduler:
             return False
         for lane in list(self.active):
             start = time.perf_counter()
+            run = lane.run if lane.built else self._build(lane)
             # the deadline rides into the slice so a heavy instance
             # overshoots the cutoff by one expansion, not a whole slice
-            status = lane.run.step(lane.budget, deadline=self.deadline)
+            status = run.step(lane.budget, deadline=self.deadline)
             lane.seconds += time.perf_counter() - start
             lane.slices += 1
-            self.expansions += lane.run.last_slice_expansions
+            self.expansions += run.last_slice_expansions
             if self.obs is not None:
                 self.obs.lane_slice(self.tag, lane.spec.name,
-                                    lane.run.last_slice_expansions,
+                                    run.last_slice_expansions,
                                     status.value)
             self._harvest(lane)
             if status is RunStatus.RUNNING:
@@ -517,7 +561,15 @@ class LaneScheduler:
         cut a schedule short, e.g. the service's shutdown drain).
         """
         for lane in self.active:
-            if lane.run.status.terminal:
+            if not lane.built:
+                if not (self.deadline_expired and self.best is None
+                        and lane.spec.engine == "beam"):
+                    self._settle(lane, RunStatus.CANCELLED)
+                    continue
+                # no lane holds a circuit: a beam that never ran still
+                # flushes its frontier (the target itself) below
+                self._build(lane)
+            elif lane.run.status.terminal:
                 continue
             # a cancelled beam may still hold the best circuit
             self._harvest(lane)
@@ -531,9 +583,10 @@ class LaneScheduler:
             lane.run.cancel()
             self._settle(lane, RunStatus.CANCELLED)
         self.active = []
-        _record_lane_outcomes(self.memory, self.attempts, self.winner)
-        if self.obs is not None and self.winner is not None:
-            self.obs.lane_won(self.tag, self.winner,
+        credited = self.prover or self.winner
+        _record_lane_outcomes(self.memory, self.attempts, credited)
+        if self.obs is not None and credited is not None:
+            self.obs.lane_won(self.tag, credited,
                               None if self.best is None
                               else self.best.cnot_cost)
         return PortfolioOutcome(result=self.best, winner=self.winner,
@@ -550,7 +603,7 @@ class LaneScheduler:
         ordering anything.
         """
         for lane in self.active:
-            if not lane.run.status.terminal:
+            if lane.built and not lane.run.status.terminal:
                 lane.run.cancel()
         self.active = []
         self.proven = True  # mark done for any late run_round caller
@@ -591,17 +644,16 @@ def autotune_specs(specs: tuple[EngineSpec, ...],
     """Lane auto-tuning from persisted history → (specs, slice budgets).
 
     Derives the interleaved scheduler's per-lane slice budgets from the
-    win/feasible/timeout counters in ``memory.lane_stats``: a lane's
-    budget scales with its Laplace-smoothed ``(wins + 1) / (runs + 2)``
-    win rate, normalized so the neutral never-run score of 0.5 maps to
-    exactly ``slice_expansions`` and clamped to ``[LANE_TUNE_MIN,
+    win counters in ``memory.lane_stats``: a lane's budget scales with
+    its Laplace-smoothed ``(wins + 1) / (runs + 2)`` win rate, normalized
+    so the neutral never-run score of 0.5 maps to exactly
+    ``slice_expansions`` and clamped to ``[LANE_TUNE_MIN,
     LANE_TUNE_MAX]`` multiples — historically winning lanes get more
     expansions per round, losing lanes fewer, and no lane is ever
-    silenced by tuning alone.  A lane is *dropped* only when it is
-    chronically useless: at least ``LANE_DROP_MIN_RUNS`` recorded runs
-    with zero wins *and* zero feasible circuits (it has paid slices on
-    every request and never contributed so much as an incumbent).  If
-    the filter would drop every lane, the original set is kept.
+    silenced: every lane stays in the schedule, because lanes are built
+    only when they first get a slice (a lane behind an early settle
+    costs nothing), and a lane taken out could never earn back the win
+    that would justify it.
 
     Determinism and order-independence: budgets are pure per-lane
     functions of the counters, lane order comes from :func:`order_specs`
@@ -611,32 +663,18 @@ def autotune_specs(specs: tuple[EngineSpec, ...],
     applies this tuning; the single-request paths deliberately do not,
     keeping their historical schedules bit-identical.
     """
-    from repro.constants import (
-        LANE_DROP_MIN_RUNS,
-        LANE_TUNE_MAX,
-        LANE_TUNE_MIN,
-    )
+    from repro.constants import LANE_TUNE_MAX, LANE_TUNE_MIN
 
     ordered = order_specs(specs, memory)
-    if memory is None or not memory.lane_stats:
-        return ordered, {s.name: slice_expansions for s in ordered}
-    kept: list[EngineSpec] = []
     budgets: dict[str, int] = {}
     for spec in ordered:
-        row = memory.lane_stats.get(spec.name) or {}
-        runs = int(row.get("runs", 0))
-        wins = int(row.get("wins", 0))
-        feasible = int(row.get("feasible", 0))
-        if runs >= LANE_DROP_MIN_RUNS and wins == 0 and feasible == 0:
-            continue
-        rate = (wins + 1.0) / (runs + 2.0)
+        row = (memory.lane_stats.get(spec.name) if memory is not None
+               else None) or {}
+        rate = (row.get("wins", 0) + 1.0) / (row.get("runs", 0) + 2.0)
         multiplier = min(LANE_TUNE_MAX, max(LANE_TUNE_MIN, 2.0 * rate))
-        kept.append(spec)
         budgets[spec.name] = max(1, int(round(slice_expansions
                                               * multiplier)))
-    if not kept:
-        return ordered, {s.name: slice_expansions for s in ordered}
-    return tuple(kept), budgets
+    return ordered, budgets
 
 
 # ----------------------------------------------------------------------

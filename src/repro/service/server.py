@@ -267,8 +267,8 @@ class ServiceConfig:
     #: --max-inflight``): searching sessions in flight at once; requests
     #: beyond it are answered ``ok: false, busy: true``
     max_inflight: int = SERVICE_MAX_INFLIGHT
-    #: derive the concurrent scheduler's per-lane slice budgets (and drop
-    #: chronically losing lanes) from persisted ``lane_stats`` history
+    #: derive the concurrent scheduler's per-lane slice budgets from
+    #: persisted ``lane_stats`` history
     #: (:func:`repro.service.portfolio.autotune_specs`).  Applies to
     #: scheduler sessions only — the single-request paths keep their
     #: historical schedules bit-identical.

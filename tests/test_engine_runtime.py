@@ -12,6 +12,8 @@ Covers the PR's acceptance surface:
 * the interleaved scheduler: cost identity with the sequential portfolio,
   first-proven-optimal cancellation, deadline exits returning the best
   feasible circuit;
+* lazy lanes: a lane's run is built on its first slice (or for a
+  deadline flush), so lanes behind an early settle cost nothing;
 * adaptive lane ordering from persisted per-lane win statistics;
 * transposition-entry aging across snapshot generations.
 """
@@ -30,6 +32,7 @@ from repro.service.persistence import load_memory_snapshot, \
     save_memory_snapshot
 from repro.service.portfolio import (
     EngineSpec,
+    LaneScheduler,
     default_portfolio,
     interleaved_portfolio,
     order_specs,
@@ -273,6 +276,68 @@ class TestInterleavedPortfolio:
                                       memory=memory)
         assert cold.result.cnot_cost == warm1.result.cnot_cost == \
             warm2.result.cnot_cost
+
+
+class TestLazyLanes:
+    """Lanes are built on their first slice; unbuilt lanes cost nothing."""
+
+    ASTAR_FIRST = (EngineSpec("astar", "astar"),
+                   EngineSpec("beam", "beam", weight=1.5, width=128),
+                   EngineSpec("idastar", "idastar"),
+                   EngineSpec("astar-w2", "astar", weight=2.0))
+
+    def test_first_lane_settle_builds_no_other_run(self):
+        memory = SearchMemory()
+        lanes = LaneScheduler(w_state(4), SearchConfig(), self.ASTAR_FIRST,
+                              memory=memory)
+        while lanes.run_round():
+            pass
+        outcome = lanes.finish()
+        assert outcome.result.optimal and outcome.winner == "astar"
+        assert [lane.built for lane in lanes.lanes] == \
+            [True, False, False, False]
+        # audits that read every lane's stats see zero work
+        assert [lane.run.stats.nodes_expanded == 0
+                for lane in lanes.lanes] == [False, True, True, True]
+        rows = {a["name"]: a for a in outcome.attempts}
+        for name in ("beam", "idastar", "astar-w2"):
+            assert rows[name]["status"] == "cancelled"
+            assert rows[name]["nodes_expanded"] == 0
+        # every lane still counts one run; the prover counts the win
+        assert {name: row["runs"] for name, row in
+                memory.lane_stats.items()} == dict.fromkeys(rows, 1)
+        assert memory.lane_stats["astar"]["wins"] == 1
+
+    def test_late_lane_gets_missed_incumbent(self):
+        # beam settles a feasible cost before A* is built; A* must start
+        # with that incumbent and prove it instead of searching blind
+        memory = SearchMemory()
+        lanes = LaneScheduler(w_state(4), SearchConfig(),
+                              default_portfolio()[:2], memory=memory)
+        while lanes.run_round():
+            pass
+        outcome = lanes.finish()
+        assert lanes.lanes[1].run.incumbent_bound == \
+            outcome.result.cnot_cost
+        assert outcome.result.optimal and outcome.winner == "beam"
+        assert memory.lane_stats["astar"]["wins"] == 1
+
+    def test_deadline_flush_builds_beam_in_finish(self):
+        state = dicke_state(6, 3)
+        specs = (EngineSpec("astar", "astar"),
+                 EngineSpec("beam", "beam", weight=1.5, width=128))
+        lanes = LaneScheduler(state, SearchConfig(max_nodes=500_000),
+                              specs, deadline_ms=60,
+                              slice_expansions=1 << 20)
+        while lanes.run_round():
+            pass
+        assert lanes.deadline_expired
+        assert lanes.lanes[0].run.best_feasible() is None
+        assert not lanes.lanes[1].built  # A* used the whole deadline
+        outcome = lanes.finish()
+        assert outcome.solved and outcome.winner == "beam"
+        assert not outcome.result.optimal
+        assert prepares_state(outcome.result.circuit, state)
 
 
 class TestAdaptiveOrdering:

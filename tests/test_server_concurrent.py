@@ -6,12 +6,17 @@ ordering under mixed deadlines, mid-run cancellation frees its lanes,
 admission control rejects beyond the cap, WAL replay reproduces the
 full-snapshot state, and a server killed mid-burst shuts down
 gracefully (drained answers, compacted WAL, exit 0) and warm-boots.
+Also: wins are credited to the lane that proves optimality, so long
+cold traffic stays proven optimal, and an over-limit request line on
+the socket gets an error reply instead of a dropped connection.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -21,13 +26,19 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.constants import SERVICE_MAX_LINE_BYTES
 from repro.core.astar import SearchConfig
 from repro.core.memory import SearchMemory
+from repro.obs import ObsConfig
+from repro.obs.trace import reconstruct_timelines
+from repro.service.asyncserver import AsyncFrontEnd
 from repro.service.persistence import MemoryWAL, merge_wal_delta, \
     save_memory_snapshot, load_memory_snapshot
-from repro.service.portfolio import autotune_specs, default_portfolio
+from repro.service.portfolio import autotune_specs, default_portfolio, \
+    interleaved_portfolio
 from repro.service.scheduler import RequestScheduler, RequestSession
-from repro.service.server import ServiceConfig, SynthesisService, serve_loop
+from repro.service.server import ServiceConfig, SynthesisService, \
+    parse_request_state, serve_loop
 from repro.utils.serialization import memory_baseline, memory_to_dict, \
     memory_merge_dict, wal_record_to_dict
 
@@ -427,27 +438,6 @@ class TestAutotune:
         # ...but nobody is silenced by tuning alone
         assert all(b >= 50 for b in budgets.values())
 
-    def test_chronic_loser_dropped(self):
-        memory = SearchMemory()
-        for _ in range(60):
-            memory.record_lane_outcome("beam", won=True, feasible=True)
-            memory.record_lane_outcome("astar-w2", won=False,
-                                       feasible=False)
-        tuned, _budgets = autotune_specs(default_portfolio(), memory)
-        names = [s.name for s in tuned]
-        assert "astar-w2" not in names
-        assert "beam" in names
-
-    def test_never_drops_everything(self):
-        memory = SearchMemory()
-        for spec in default_portfolio():
-            for _ in range(60):
-                memory.record_lane_outcome(spec.name, won=False,
-                                           feasible=False)
-        tuned, budgets = autotune_specs(default_portfolio(), memory, 100)
-        assert len(tuned) == len(default_portfolio())
-        assert budgets
-
     def test_deterministic_and_order_independent(self):
         memory = SearchMemory()
         for _ in range(10):
@@ -456,6 +446,144 @@ class TestAutotune:
         a = autotune_specs(default_portfolio(), memory, 128)
         b = autotune_specs(default_portfolio(), memory, 128)
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# proof credit: the lane that proves optimality earns the win
+# ----------------------------------------------------------------------
+
+def _cold_targets(count: int) -> list[dict]:
+    """Distinct small uniform/real targets (no two share a cache key)."""
+    rng = random.Random(20261017)
+    seen: set = set()
+    requests = []
+    while len(requests) < count:
+        n, m = rng.choice(((4, 3), (4, 4), (5, 3)))
+        indices = sorted(rng.sample(range(1 << n), m))
+        real = rng.random() < 0.3
+        terms = {format(i, f"0{n}b"):
+                 round(rng.uniform(0.3, 1.0), 4) if real else 1.0
+                 for i in indices}
+        key = tuple(sorted(terms.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        requests.append({"id": len(requests), "op": "exact",
+                         "terms": terms})
+    return requests
+
+
+class TestProofCredit:
+    def test_cold_traffic_stays_optimal_past_many_requests(self):
+        # more settles than any lane history threshold: the exact lanes
+        # keep proving every answer, and each cost matches a fresh
+        # single-request portfolio on the same target
+        service = SynthesisService(ServiceConfig())
+        requests = _cold_targets(64)
+        got = {}
+        for request in requests:
+            got.update(_drive(service, [request]))
+        for request in requests:
+            row = got[request["id"]]
+            assert row["ok"] and row["optimal"], request
+            fresh = interleaved_portfolio(parse_request_state(request),
+                                          service.config.search)
+            assert row["cnot_cost"] == fresh.result.cnot_cost, request
+
+    def test_prover_credited_holder_answers(self):
+        # beam holds the incumbent, A* proves it optimal (PROVEN): the
+        # win is A*'s, the circuit (and the response's engine) is beam's
+        service = SynthesisService(_config(use_cache=False,
+                                           obs=ObsConfig.on()))
+        row = _drive(service, [{"id": "w4", "op": "exact", "w": 4}])["w4"]
+        assert row["ok"] and row["optimal"]
+        assert row["engine"] == "beam"
+        stats = service.memory.lane_stats
+        assert stats["astar"]["wins"] == 1
+        assert stats["beam"]["wins"] == 0
+        settles = {r["lane"]: r["status"] for r in service.obs.trace_tail()
+                   if r["name"] == "lane_settled"}
+        assert settles["astar"] == "proven"
+        (won,) = [r for r in service.obs.trace_tail()
+                  if r["name"] == "lane_won"]
+        assert won["lane"] == "astar"
+
+    def test_metrics_and_stats_agree_on_wins(self):
+        service = SynthesisService(_config(use_cache=False,
+                                           obs=ObsConfig.on()))
+        got = _drive(service, _requests()[:4])
+        assert all(r["ok"] for r in got.values())
+        wins = service.obs.registry.get("qsp_lane_wins_total")
+        stats = service.handle({"id": "s", "op": "stats"})
+        lane_stats = stats["memory"]["lane_stats"]
+        for lane, row in lane_stats.items():
+            assert wins.labels(lane).value == row["wins"], lane
+        assert sum(r["wins"] for r in lane_stats.values()) == 4
+        # unbuilt lanes settle as cancelled events: spans stay balanced
+        timelines = reconstruct_timelines(service.obs.trace_tail())
+        for rid in got:
+            assert timelines[rid]["balanced"]
+            settled = {e["lane"] for e in timelines[rid]["events"]
+                       if e["name"] == "lane_settled"}
+            assert settled == {s.name for s in default_portfolio()}
+
+
+# ----------------------------------------------------------------------
+# oversized request lines on the socket front end
+# ----------------------------------------------------------------------
+
+def _socket_exchange(lines: list[bytes], expect: int) -> list[dict]:
+    """Send raw lines to an in-process ``serve --listen``; read replies."""
+    async def main() -> list[dict]:
+        service = SynthesisService(_config(use_cache=False))
+        front = AsyncFrontEnd(service, "127.0.0.1", 0, drain_ms=100.0)
+        server = asyncio.ensure_future(front.run())
+        while front.bound_port is None:
+            await asyncio.sleep(0.01)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", front.bound_port)
+        for line in lines:
+            writer.write(line)
+        await writer.drain()
+        replies = [json.loads(await asyncio.wait_for(reader.readline(),
+                                                     60.0))
+                   for _ in range(expect)]
+        writer.write(b'{"op": "shutdown"}\n')
+        await writer.drain()
+        await reader.readline()
+        writer.close()
+        await asyncio.wait_for(server, 60.0)
+        return replies
+
+    return asyncio.run(main())
+
+
+def _padded_line(request: dict, size: int) -> bytes:
+    """``request`` as one JSON line of exactly ``size`` bytes before the
+    newline (JSON ignores the padding whitespace)."""
+    text = json.dumps(request)
+    assert len(text) <= size
+    return (text + " " * (size - len(text)) + "\n").encode("utf-8")
+
+
+class TestOversizedLines:
+    def test_line_at_limit_is_served(self):
+        (reply,) = _socket_exchange(
+            [_padded_line({"id": "big", "op": "exact", "ghz": 3},
+                          SERVICE_MAX_LINE_BYTES)], 1)
+        assert reply["id"] == "big" and reply["ok"]
+        assert reply["cnot_cost"] == 2
+
+    def test_line_over_limit_gets_error_and_connection_survives(self):
+        replies = _socket_exchange(
+            [_padded_line({"id": "huge", "op": "exact", "ghz": 3},
+                          SERVICE_MAX_LINE_BYTES + 1),
+             _padded_line({"id": "next", "op": "exact", "ghz": 3}, 64)],
+            2)
+        error, served = replies
+        assert error["ok"] is False
+        assert str(SERVICE_MAX_LINE_BYTES) in error["error"]
+        assert served["id"] == "next" and served["ok"]
 
 
 # ----------------------------------------------------------------------
